@@ -409,13 +409,15 @@ def boundary_fill_bytes_sum(
     precision: Precision,
     parent: "np.ndarray",  #: (5,) or (5, N) parent extents
     child: "np.ndarray",  #: (5, N) child tile extents
-    order: LoopOrder,
+    orders: tuple[LoopOrder, ...],
+    order_index: "np.ndarray",  #: (N,) each row's position in ``orders``
 ) -> "np.ndarray":
     """Summed per-execution fill bytes across the three data types.
 
     Columnar counterpart of summing ``boundary_fill_profile`` byte entries
-    — the denominator of the allocator's ``f_reuse`` score — for many child
-    tiles under one parent and one loop order.
+    — the denominator of the allocator's ``f_reuse`` score — for many
+    (parent, child) pairs, row ``i`` under loop order
+    ``orders[order_index[i]]``.
     """
     _require_numpy()
     child = np.asarray(child, dtype=np.int64)
@@ -424,9 +426,9 @@ def boundary_fill_bytes_sum(
         np.asarray(parent, dtype=np.int64).reshape(5, -1), (5, n)
     )
     trips = ceil_div(parent, child)
-    dim_tbl, pos_tbl = _order_tables((order,))
-    dim_at = np.broadcast_to(dim_tbl[0], (n, 5))
-    pos_of = np.broadcast_to(pos_tbl[0], (n, 5))
+    dim_tbl, pos_tbl = _order_tables(orders)
+    dim_at = dim_tbl[order_index]
+    pos_of = pos_tbl[order_index]
     profile = _boundary_fill_columns(
         layer, precision, parent, child, trips, trips, dim_at, pos_of
     )

@@ -51,9 +51,18 @@ class Parallelism:
         )
 
     def of(self, dim: Dim) -> int:
-        return {Dim.W: self.w, Dim.H: self.h, Dim.K: self.k, Dim.F: self.f}.get(
-            dim, 1
-        )
+        # Identity chain instead of a dict, as in ``TileShape.extent``:
+        # the search's bounds and parallelism ranking call this per
+        # candidate.
+        if dim is Dim.W:
+            return self.w
+        if dim is Dim.H:
+            return self.h
+        if dim is Dim.K:
+            return self.k
+        if dim is Dim.F:
+            return self.f
+        return 1
 
     @property
     def degree(self) -> int:

@@ -26,7 +26,7 @@ from repro.core.layer import ConvLayer
 from repro.core.loopnest import LoopOrder
 from repro.core.performance_model import parallel_level_degrees, split_parallelism
 from repro.core.tiling import TileHierarchy, TileShape
-from repro.optimizer.allocation import allocate_hierarchy
+from repro.optimizer.allocation import CandidateMemo, allocate_hierarchy
 from repro.optimizer.clock import current_clock
 from repro.optimizer.space import (
     REPRESENTATIVE_INNER_ORDERS,
@@ -841,9 +841,9 @@ class LayerOptimizer:
         best_rank = (float("inf"), float("inf"))
         evaluated = 0
         pruned = 0
-        #: (level, parent, cap) -> sub-tile candidates, shared across the
-        #: inner-order loop (candidate generation is order-independent).
-        candidate_memo: dict = {}
+        #: (level, parent, cap) -> sub-tile candidates, shared across
+        #: blocks (candidate generation is order-independent).
+        candidate_memo: CandidateMemo = {}
         floors = layer_cost_floors(layer, self.arch)
 
         l2_tiles = last_level_tile_candidates(
@@ -914,19 +914,19 @@ class LayerOptimizer:
             rows_inner: list[int] = []
             rows_rank: list[int] = []
             row = -1  # legacy row rank within this block
-            for inner in inner_orders:
-                try:
-                    beams = allocate_hierarchy(
-                        layer,
-                        self.arch,
-                        l2_tile,
-                        inner,
-                        keep_per_level=self.options.keep_per_level,
-                        level_degrees=level_degrees,
-                        vectorize=True,
-                        candidate_memo=candidate_memo,
-                    )
-                except ValueError:
+            # Every inner order allocated in lockstep: one batched
+            # f_reuse pass per level; None marks an infeasible order.
+            allocations = allocate_hierarchy(
+                layer,
+                self.arch,
+                l2_tile,
+                inner_orders,
+                keep_per_level=self.options.keep_per_level,
+                level_degrees=level_degrees,
+                candidate_memo=candidate_memo,
+            )
+            for inner, beams in zip(inner_orders, allocations):
+                if beams is None:
                     continue
                 inner_idx = index_of(inner)
                 for tiles in beams[: self.options.keep_allocations]:

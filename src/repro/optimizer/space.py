@@ -206,17 +206,22 @@ def parallelism_candidates(
         Dim.W: layer.out_w,
         Dim.F: layer.out_f,
     }
+    # Nested divisor walk over the degree grid: the (k, h, w, f) tuples
+    # whose product is ``total``, in the grid's lexicographic order (k
+    # outermost), without scanning all len(grid)**4 combinations.
     grid = [d for d in _PARALLEL_DEGREE_GRID if d <= total]
-    seen: set[tuple[int, int, int, int]] = set()
+    on_grid = set(grid)
     results: list[Parallelism] = []
-    for k, h, w, f in itertools.product(grid, repeat=4):
-        if k * h * w * f != total:
+    for k in grid:
+        if total % k:
             continue
-        key = (k, h, w, f)
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append(Parallelism(k=k, h=h, w=w, f=f))
+        for h in grid:
+            if (total // k) % h:
+                continue
+            rest = total // (k * h)
+            for w in grid:
+                if rest % w == 0 and rest // w in on_grid:
+                    results.append(Parallelism(k=k, h=h, w=w, f=rest // w))
 
     def slack(par: Parallelism) -> float:
         """How badly the degrees overshoot the available work (lower is

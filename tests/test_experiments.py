@@ -106,7 +106,7 @@ class TestFigure5:
         """Hierarchy helps both nets, helps 3D more, and saturates: the
         best depth is 2-3 levels and a fourth level only adds traffic.
         (Our model's compulsory-DRAM floor caps the advantage earlier than
-        the paper's 7.8x — see EXPERIMENTS.md.)"""
+        the paper's 7.8x — see ROADMAP item 4.)"""
         assert result.best_depth(is_3d=True) in (2, 3)
         assert result.best_depth(is_3d=False) in (2, 3)
         adv3 = result.advantage(True)

@@ -1,7 +1,12 @@
 """Tests for configuration-space enumeration (paper Section V-A)."""
 
+import functools
+import itertools
+
 import pytest
 
+from repro.arch.accelerator import eyeriss_like, morph, morph_base
+from repro.core.dataflow import Parallelism
 from repro.core.dims import DataType, Dim
 from repro.core.layer import ConvLayer
 from repro.core.loopnest import all_loop_orders
@@ -15,6 +20,8 @@ from repro.optimizer.space import (
     loop_order_candidates,
     parallelism_candidates,
 )
+from repro.optimizer.space import _PARALLEL_DEGREE_GRID
+from repro.workloads import build_network, network_names
 
 LAYER = ConvLayer(
     "c3d2", h=56, w=56, c=64, f=16, k=128, r=3, s=3, t=3,
@@ -131,3 +138,48 @@ class TestParallelismCandidates:
             for c in candidates
         ]
         assert reps[0] <= max(reps)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_scan(total: int) -> tuple[Parallelism, ...]:
+    """Every grid 4-tuple whose product is ``total``, in scan order."""
+    grid = [d for d in _PARALLEL_DEGREE_GRID if d <= total]
+    return tuple(
+        Parallelism(k=k, h=h, w=w, f=f)
+        for k, h, w, f in itertools.product(grid, repeat=4)
+        if k * h * w * f == total
+    )
+
+
+def _scanned_parallelisms(total: int, layer: ConvLayer) -> list[Parallelism]:
+    """Reference: the grid scan's factorisations, ranked exactly as
+    :func:`parallelism_candidates` ranks them."""
+    found = list(_grid_scan(total))
+    caps = {Dim.K: layer.k, Dim.H: layer.out_h, Dim.W: layer.out_w,
+            Dim.F: layer.out_f}
+
+    def slack(par: Parallelism) -> float:
+        penalty = 1.0
+        for dim, cap in caps.items():
+            penalty *= max(1.0, par.of(dim) / max(cap, 1))
+        return penalty
+
+    found.sort(key=lambda p: (slack(p), p.replication(DataType.INPUTS)
+                              + p.replication(DataType.WEIGHTS)))
+    return found or [Parallelism.none()]
+
+
+@pytest.mark.parametrize("arch_factory", [morph, morph_base, eyeriss_like])
+def test_divisor_walk_matches_the_grid_scan(arch_factory):
+    """The nested divisor walk lists the grid scan's candidates, in the
+    same order, for every layer shape of every registered network."""
+    arch = arch_factory()
+    shapes = {
+        (layer.k, layer.out_h, layer.out_w, layer.out_f): layer
+        for name in network_names()
+        for layer in build_network(name).layers
+    }
+    for layer in shapes.values():
+        assert parallelism_candidates(
+            arch, layer, max_candidates=10**6
+        ) == _scanned_parallelisms(arch.total_pes, layer)
